@@ -28,8 +28,8 @@ import time
 
 import numpy as np
 
-from repro.serve import (AnomalyService, AnomalyTCPServer, BinaryClient,
-                         ServiceConfig, TCPClient)
+from repro.serve import (AnomalyService, AnomalyWireServer, BinaryClient,
+                         ServiceConfig, TCPClient, TCPTransport)
 
 N_STREAMS = 16
 SAMPLES_PER_STREAM = 200
@@ -41,7 +41,7 @@ TIMING_REPEATS = 2
 
 
 class _ServerThread:
-    """One AnomalyTCPServer on an ephemeral port, in a background thread."""
+    """One AnomalyWireServer on an ephemeral port, in a background thread."""
 
     def __init__(self, detector):
         # incremental=False: the per-sample incremental lane is a *latency*
@@ -54,7 +54,7 @@ class _ServerThread:
                                  max_delay_ms=MAX_DELAY_MS,
                                  backpressure="block",
                                  incremental=False))
-        self.server = AnomalyTCPServer(service, port=0)
+        self.server = AnomalyWireServer(service, TCPTransport("127.0.0.1", 0))
         self._ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)

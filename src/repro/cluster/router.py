@@ -41,10 +41,9 @@ from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from ..obs.metrics import MetricsRegistry
-from ..serve import wire
-from ..serve.tcp import (BinaryClient, _BinaryServerConnection,
-                         _JSONServerConnection, _MalformedRequest,
-                         _json_line, _stats_payload, write_endpoint_file)
+from ..serve import ops, wire
+from ..serve.tcp import (_Connection, _FrontDoor, _json_line, _stats_payload,
+                         write_endpoint_file)
 from ..serve.transport import Transport
 from .ring import DEFAULT_VIRTUAL_NODES, HashRing
 from .stats import ClusterStats, merge_metrics_pages
@@ -67,20 +66,6 @@ class RouterConfig:
     recover_timeout_s: float = 30.0
     #: per-request timeout on worker trunks
     request_timeout_s: float = 30.0
-
-
-class _AlarmSample:
-    """Duck-typed stand-in for ScoredSample in codec ``write_event``."""
-
-    __slots__ = ("stream_id", "index", "score", "threshold", "fingerprint")
-
-    def __init__(self, stream_id: str, index: int, score: float,
-                 threshold: float, fingerprint=None) -> None:
-        self.stream_id = stream_id
-        self.index = index
-        self.score = score
-        self.threshold = threshold
-        self.fingerprint = fingerprint
 
 
 class _RWGate:
@@ -166,7 +151,7 @@ class _Trunk:
 
     def _encode(self, message: Dict[str, Any]) -> bytes:
         if self.protocol == "binary":
-            return wire.encode(BinaryClient._to_frame(message))
+            return wire.encode(ops.request_frame(message))
         return _json_line(message)
 
     async def _read_loop(self) -> None:
@@ -179,7 +164,7 @@ class _Trunk:
                         break
                     decoder.feed(chunk)
                     for frame in decoder.frames():
-                        await self._deliver(BinaryClient._from_frame(frame))
+                        await self._deliver(ops.reply_message(frame))
             else:
                 while True:
                     line = await self._reader.readline()
@@ -237,7 +222,7 @@ class _StreamRoute:
     #: protocol of the client that opened it (handoffs ride this trunk)
     protocol: str
     #: client connections that ever owned the stream (alarm fan-out)
-    conns: Set["_ClientConn"] = field(default_factory=set)
+    conns: Set[_Connection] = field(default_factory=set)
     #: worker session state was lost (crash) -- re-open before next push
     lost: bool = False
     #: the stream was closed; the route lingers only so trailing alarm
@@ -245,23 +230,15 @@ class _StreamRoute:
     closed: bool = False
 
 
-class _ClientConn:
-    """One accepted client connection on the router's front door."""
-
-    def __init__(self, codec, writer: asyncio.StreamWriter) -> None:
-        self.codec = codec
-        self.writer = writer
-        self.protocol = codec.protocol
-        self.owned: List[str] = []
-
-
-class ShardRouter:
+class ShardRouter(_FrontDoor):
     """Protocol-aware shard proxy over a supervised worker fleet.
 
     ``supervisor`` must already hold the initial fleet (spawned
     :class:`~repro.cluster.WorkerHandle` per worker).  The router builds
     its hash ring from those names; :meth:`add_worker` /
-    :meth:`remove_worker` reshape the fleet at runtime.
+    :meth:`remove_worker` reshape the fleet at runtime.  Client
+    connections are accepted exactly like a wire server's; each request
+    is answered by its op's routing class (:attr:`repro.serve.ops.Op.route`).
     """
 
     def __init__(self, supervisor: WorkerSupervisor, transport: Transport,
@@ -279,14 +256,16 @@ class ShardRouter:
         self._trunks: Dict[Tuple[str, str], _Trunk] = {}
         self._worker_locks: Dict[str, asyncio.Lock] = {}
         self._streams: Dict[str, _StreamRoute] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopping: Optional[asyncio.Event] = None
         self._health_task: Optional[asyncio.Task] = None
+        #: routing class -> how the router answers ops of that class
+        #: (read-out and local ops: the router's own ``_op_*`` handler)
+        self._routes = {ops.STREAM: self._stream_op,
+                        ops.READ_OUT: super()._serve, ops.LOCAL: super()._serve,
+                        ops.FAN_OUT: self._fan_out, ops.REFUSED: self._refuse}
         self._metrics_cache = ""
         self._rehomed_total = 0
         self._rebalances_total = 0
         self._alarms_forwarded = 0
-        self._proxied: collections.Counter = collections.Counter()
         self.registry = MetricsRegistry()
         self._register_metrics()
 
@@ -364,23 +343,6 @@ class ShardRouter:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    def request_stop(self) -> None:
-        if self._stopping is not None:
-            self._stopping.set()
-
-    @property
-    def bound_address(self) -> str:
-        if self._server is None:
-            raise RuntimeError("router is not running")
-        return self.transport.address_text(self._server)
-
-    @property
-    def bound_port(self) -> int:
-        from ..serve.tcp import bound_port
-        if self._server is None:
-            raise RuntimeError("router is not running")
-        return bound_port(self._server)
 
     # -- trunk pool ---------------------------------------------------------- #
     def _worker_lock(self, worker: str) -> asyncio.Lock:
@@ -465,56 +427,7 @@ class ShardRouter:
         route.lost = False
 
     # -- client connections -------------------------------------------------- #
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn: Optional[_ClientConn] = None
-        try:
-            first = await reader.read(1)
-            if first:
-                if first[0] == wire.MAGIC[0]:
-                    codec = _BinaryServerConnection(reader, writer, first)
-                else:
-                    codec = _JSONServerConnection(reader, writer, first)
-                conn = _ClientConn(codec, writer)
-                await self._connection_loop(conn)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            if conn is not None:
-                await self._cleanup_client(conn)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-            except asyncio.CancelledError:
-                # Loop teardown cancelled us mid-close; the transport is
-                # going away with the loop, so a silent return is clean.
-                return
-
-    async def _connection_loop(self, conn: _ClientConn) -> None:
-        while True:
-            try:
-                message = await conn.codec.read_request()
-            except _MalformedRequest as error:
-                conn.codec.write_error(error)
-                try:
-                    await conn.writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-                if error.fatal:
-                    return
-                continue
-            if message is None:
-                return
-            reply = await self._dispatch(conn, message)
-            conn.codec.write_reply(reply)
-            await conn.writer.drain()
-            if reply.get("op") == "shutdown" and reply.get("ok"):
-                self.request_stop()
-                return
-
-    async def _cleanup_client(self, conn: _ClientConn) -> None:
+    async def _disconnected(self, conn: _Connection) -> None:
         """A dropped producer must not leak its sessions on the workers."""
         for stream_id in conn.owned:
             route = self._streams.get(stream_id)
@@ -540,62 +453,27 @@ class ShardRouter:
             if route.closed and not route.conns:
                 self._streams.pop(stream_id, None)
 
-    # -- dispatch ------------------------------------------------------------ #
-    async def _dispatch(self, conn: _ClientConn,
-                        message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
+    # -- dispatch, by routing class -------------------------------------------- #
+    async def _serve(self, op: ops.Op, message: Dict[str, Any],
+                     conn: _Connection) -> Dict[str, Any]:
         try:
-            if op == "ping":
-                return {"ok": True, "op": "ping"}
-            if op in ("open", "push", "close"):
-                return await self._stream_op(conn, op, message)
-            if op == "stats":
-                cluster = await self._cluster_stats()
-                return dict(_stats_payload(cluster.total),
-                            ok=True, op="stats")
-            if op == "snapshot":
-                return {"ok": True, "op": "snapshot",
-                        "snapshot": await self._fleet_snapshot()}
-            if op == "metrics":
-                return {"ok": True, "op": "metrics",
-                        "text": await self._fleet_metrics()}
-            if op == "trace":
-                raise ValueError(
-                    "trace is per-worker on a cluster; scrape a worker "
-                    "endpoint (or its observability port) directly")
-            if op in ("export_session", "import_session"):
-                raise ValueError(
-                    "session handoff is disabled on this server")
-            if op == "canary":
-                return await self._fleet_canary(message)
-            if op == "canary_status":
-                return await self._fleet_canary_status(message)
-            if op == "canary_stop":
-                return await self._fleet_canary_stop(message)
-            if op == "promote":
-                return await self._fleet_promote(message)
-            if op == "rollback":
-                return await self._fleet_rollback(message)
-            if op == "shutdown":
-                if not self.allow_shutdown:
-                    raise ValueError("shutdown is disabled on this server")
-                return {"ok": True, "op": "shutdown"}
-            raise ValueError(f"unknown op {op!r}")
-        except asyncio.TimeoutError:
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": "worker did not answer within the trunk "
-                             "timeout"}
-        except (ValueError, TypeError, KeyError, RuntimeError,
-                ConnectionError, LookupError) as error:
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": str(error)}
+            return await self._routes[op.route](op, message, conn)
+        except asyncio.TimeoutError as error:
+            raise ConnectionError(
+                "worker did not answer within the trunk timeout") from error
 
-    async def _stream_op(self, conn: _ClientConn, op: str,
-                         message: Dict[str, Any]) -> Dict[str, Any]:
+    async def _refuse(self, op: ops.Op, message: Dict[str, Any],
+                      conn: _Connection) -> Dict[str, Any]:
+        raise ValueError(
+            f"op {op.name!r} is per-worker on a cluster; the shard router "
+            f"does not serve it (send it to a worker endpoint directly)")
+
+    async def _stream_op(self, op: ops.Op, message: Dict[str, Any],
+                         conn: _Connection) -> Dict[str, Any]:
         stream_id = message.get("stream")
         if not isinstance(stream_id, str) or not stream_id:
-            raise ValueError(f"op {op!r} needs a 'stream' string")
-        self._requests_proxied.labels(op=op).inc()
+            raise ValueError(f"op {op.name!r} needs a 'stream' string")
+        self._requests_proxied.labels(op=op.name).inc()
         async with self._gate.read_locked():
             worker = self.ring.owner(stream_id)
             route = self._streams.get(stream_id)
@@ -619,40 +497,39 @@ class ShardRouter:
             self._track_stream(conn, op, message, reply)
             return reply
 
-    def _track_stream(self, conn: _ClientConn, op: str,
+    def _track_stream(self, conn: _Connection, op: ops.Op,
                       message: Dict[str, Any],
                       reply: Dict[str, Any]) -> None:
         if not reply.get("ok"):
             return
         stream_id = message["stream"]
-        if op in ("open", "push"):
-            route = self._streams.get(stream_id)
-            if route is None or route.closed:
-                open_message = {"op": "open", "stream": stream_id}
-                for key in ("max_samples", "tenant"):
-                    if message.get(key) is not None:
-                        open_message[key] = message[key]
-                if route is None:
-                    route = _StreamRoute(stream_id, open_message,
-                                         conn.protocol)
-                    self._streams[stream_id] = route
-                else:               # the stream id was re-opened
-                    route.open_message = open_message
-                    route.protocol = conn.protocol
-                    route.closed = False
-                    route.lost = False
-            route.conns.add(conn)
-            if stream_id not in conn.owned:
-                conn.owned.append(stream_id)
-        elif op == "close":
+        route = self._streams.get(stream_id)
+        if op.ends_stream:
             # Keep the route for alarm fan-out: the worker's event
             # forwarder may still be writing the close-drain alarms when
             # the close ack lands.  The route dies with its last client.
-            route = self._streams.get(stream_id)
             if route is not None:
                 route.closed = True
             if stream_id in conn.owned:
                 conn.owned.remove(stream_id)
+            return
+        # open, or a push that auto-opened the stream
+        if route is None or route.closed:
+            open_message = {"op": "open", "stream": stream_id}
+            for key in ("max_samples", "tenant"):
+                if message.get(key) is not None:
+                    open_message[key] = message[key]
+            if route is None:
+                route = _StreamRoute(stream_id, open_message, conn.protocol)
+                self._streams[stream_id] = route
+            else:               # the stream id was re-opened
+                route.open_message = open_message
+                route.protocol = conn.protocol
+                route.closed = False
+                route.lost = False
+        route.conns.add(conn)
+        if stream_id not in conn.owned:
+            conn.owned.append(stream_id)
 
     # -- alarm fan-out ------------------------------------------------------- #
     async def _on_worker_event(self, worker: str,
@@ -660,12 +537,10 @@ class ShardRouter:
         route = self._streams.get(message.get("stream", ""))
         if route is None:
             return
-        sample = _AlarmSample(message["stream"], message["index"],
-                              message["score"], message["threshold"],
-                              message.get("fingerprint"))
+        event = ops.event_frame(message)
         for conn in list(route.conns):
             try:
-                conn.codec.write_event(sample)
+                conn.codec.write_event(event)
                 await conn.writer.drain()
                 self._alarms_forwarded += 1
             except (ConnectionResetError, BrokenPipeError, OSError):
@@ -735,137 +610,55 @@ class ShardRouter:
             self._rehomed_total += 1
 
     # -- model lifecycle fan-out --------------------------------------------- #
-    async def _fleet_canary(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Attach the canary on every ring worker, all-or-nothing.
+    async def _fan_out(self, op: ops.Op, message: Dict[str, Any],
+                       conn: _Connection) -> Dict[str, Any]:
+        """Run a lifecycle op on every ring worker (see :class:`ops.FanOut`).
 
-        Workers load the candidate artifact from their own filesystem (the
-        op carries a path); a mid-fleet failure detaches the canaries that
-        did attach, so the fleet never shadow-scores half a candidate.
+        Workers load a canary's candidate artifact from their own
+        filesystem (the op carries a path).  Each worker judges its own
+        traffic slice, so fleet-wide changes must be unanimous: the
+        all-or-nothing ops undo a partial result instead of leaving the
+        fleet's models diverged.
         """
-        async with self._gate.read_locked():
-            attached = []
-            workers: Dict[str, Any] = {}
-            for worker in sorted(self.ring.nodes):
-                reply = await self._worker_request(worker, dict(message))
-                if not reply.get("ok"):
-                    for done in attached:
-                        try:
-                            await self._worker_request(
-                                done, {"op": "canary_stop",
-                                       "tenant": message.get("tenant")})
-                        except (ConnectionError, asyncio.TimeoutError):
-                            pass
-                    raise RuntimeError(
-                        f"worker {worker!r} rejected the canary: "
-                        f"{reply.get('error')}")
-                attached.append(worker)
-                workers[worker] = {"fingerprint": reply.get("fingerprint")}
-            fingerprint = next(iter(workers.values()))["fingerprint"] \
-                if workers else None
-            return {"ok": True, "op": "canary", "fingerprint": fingerprint,
-                    "workers": workers}
-
-    async def _fleet_canary_status(self,
-                                   message: Dict[str, Any]) -> Dict[str, Any]:
-        """Per-worker canary reports plus the fleet verdict.
-
-        The fleet promotes only when *every* worker's gates pass: each
-        worker judges its own live traffic slice, and a promotion must be
-        unanimous or the fleet's models diverge.
-        """
-        async with self._gate.read_locked():
-            reports: Dict[str, Any] = {}
-            for worker in sorted(self.ring.nodes):
-                reply = await self._worker_request(worker, dict(message))
-                if not reply.get("ok"):
-                    raise RuntimeError(
-                        f"worker {worker!r}: {reply.get('error')}")
-                reports[worker] = reply["report"]
-            verdicts = {report["verdict"] for report in reports.values()}
-            if verdicts == {"promote"}:
-                verdict = "promote"
-            elif "reject" in verdicts:
-                verdict = "reject"
-            else:
-                verdict = "undecided"
-            return {"ok": True, "op": "canary_status", "verdict": verdict,
-                    "workers": reports}
-
-    async def _fleet_canary_stop(self,
-                                 message: Dict[str, Any]) -> Dict[str, Any]:
-        """Detach the canary fleet-wide (tolerates workers without one)."""
-        async with self._gate.read_locked():
-            reports: Dict[str, Any] = {}
-            for worker in sorted(self.ring.nodes):
-                reply = await self._worker_request(worker, dict(message))
-                reports[worker] = reply.get("report") if reply.get("ok")                     else {"error": reply.get("error")}
-            return {"ok": True, "op": "canary_stop", "workers": reports}
-
-    async def _fleet_promote(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Promote on every worker under the exclusive gate, all-or-nothing.
-
-        The write gate blocks every stream op, so the whole fleet swaps at
-        one consistent cut.  If any worker fails its gates (each judges
-        its own traffic slice) or errors, the workers that already swapped
-        are rolled back -- a fleet serving two models is worse than a
-        delayed promotion.
-        """
-        async with self._gate.write_locked():
-            workers: Dict[str, Any] = {}
-            promoted = []
-            failure: Optional[str] = None
+        spec = op.fan_out
+        gate = self._gate.write_locked if spec.exclusive \
+            else self._gate.read_locked
+        async with gate():
+            replies: Dict[str, Dict[str, Any]] = {}
+            failures: List[str] = []
             for worker in sorted(self.ring.nodes):
                 try:
                     reply = await self._worker_request(worker, dict(message))
                 except (ConnectionError, asyncio.TimeoutError) as error:
-                    failure = f"worker {worker!r}: {error}"
-                    break
-                workers[worker] = {key: value for key, value in reply.items()
-                                   if key not in ("ok", "op")}
-                if not reply.get("ok"):
-                    failure = f"worker {worker!r}: {reply.get('error')}"
-                    break
-                if reply.get("promoted"):
-                    promoted.append(worker)
-            unanimous = not failure and len(promoted) == len(self.ring.nodes)
-            if promoted and not unanimous:
-                for done in promoted:
+                    reply = {"ok": False, "error": str(error)}
+                replies[worker] = reply
+                if not reply.get("ok") and spec.policy != ops.TOLERANT:
+                    failures.append(f"worker {worker!r}: {reply.get('error')}")
+                    if spec.policy == ops.ALL_OR_NOTHING:
+                        break
+            took_effect = [worker for worker, reply in replies.items()
+                           if reply.get("ok") and reply.get(spec.effect)]
+            everywhere = len(took_effect) == len(self.ring.nodes)
+            undone = spec.undo is not None and took_effect and not everywhere
+            if undone:
+                for worker in took_effect:
                     try:
-                        await self._worker_request(
-                            done, {"op": "rollback",
-                                   "reason": "cluster:partial-promotion",
-                                   "tenant": message.get("tenant")})
+                        await self._worker_request(worker, dict(
+                            spec.undo, tenant=message.get("tenant")))
                     except (ConnectionError, asyncio.TimeoutError):
                         pass
-            if failure:
-                return {"ok": False, "op": "promote",
-                        "error": failure + ("; partial promotion rolled back"
-                                            if promoted else ""),
-                        "workers": workers}
-            return {"ok": True, "op": "promote", "promoted": unanimous,
-                    "workers": workers}
-
-    async def _fleet_rollback(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Roll every worker back to its pinned previous artifact."""
-        async with self._gate.write_locked():
-            workers: Dict[str, Any] = {}
-            failures = []
-            for worker in sorted(self.ring.nodes):
-                try:
-                    reply = await self._worker_request(worker, dict(message))
-                except (ConnectionError, asyncio.TimeoutError) as error:
-                    failures.append(f"worker {worker!r}: {error}")
-                    continue
-                workers[worker] = {key: value for key, value in reply.items()
-                                   if key not in ("ok", "op")}
-                if not reply.get("ok"):
-                    failures.append(
-                        f"worker {worker!r}: {reply.get('error')}")
+            entries = {worker: spec.entry(reply) if reply.get("ok")
+                       else ops.worker_entry(reply)
+                       for worker, reply in replies.items()}
             if failures:
-                return {"ok": False, "op": "rollback",
-                        "error": "; ".join(failures), "workers": workers}
-            return {"ok": True, "op": "rollback", "rolled_back": True,
-                    "workers": workers}
+                error = "; ".join(failures)
+                if undone:
+                    error += f"; undone with {spec.undo['op']!r} on " \
+                             f"{', '.join(took_effect)}"
+                return {"ok": False, "op": op.name, "error": error,
+                        "workers": entries}
+            return {"ok": True, "op": op.name,
+                    **spec.fleet(entries, everywhere), "workers": entries}
 
     # -- fleet read-outs ----------------------------------------------------- #
     async def _worker_request(self, worker: str,
@@ -886,14 +679,15 @@ class ShardRouter:
                 replies[worker] = reply
         return replies
 
-    async def _cluster_stats(self) -> ClusterStats:
+    async def _op_stats(self, message, conn) -> Dict[str, Any]:
         replies = await self._gather_fleet({"op": "snapshot"})
-        return ClusterStats.from_snapshots(
+        cluster = ClusterStats.from_snapshots(
             {worker: reply["snapshot"] for worker, reply in replies.items()})
+        return dict(_stats_payload(cluster.total), ok=True, op="stats")
 
-    async def _fleet_snapshot(self) -> Dict[str, Any]:
+    async def _op_snapshot(self, message, conn) -> Dict[str, Any]:
         replies = await self._gather_fleet({"op": "snapshot"})
-        return {
+        return {"ok": True, "op": "snapshot", "snapshot": {
             "workers": {worker: reply["snapshot"]
                         for worker, reply in replies.items()},
             "cluster": {
@@ -907,7 +701,10 @@ class ShardRouter:
                 "rebalances": self._rebalances_total,
                 "streams_routed": self._live_route_count(),
             },
-        }
+        }}
+
+    async def _op_metrics(self, message, conn) -> Dict[str, Any]:
+        return {"ok": True, "op": "metrics", "text": await self._fleet_metrics()}
 
     async def _fleet_metrics(self) -> str:
         replies = await self._gather_fleet({"op": "metrics"})

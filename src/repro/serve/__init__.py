@@ -38,7 +38,7 @@ The wire layer itself is pluggable along two orthogonal axes:
   gates >= 4x ingest throughput binary vs JSON).
 * **Transport** -- :class:`AnomalyWireServer` listens on any
   :class:`~repro.serve.transport.Transport`: TCP
-  (:class:`AnomalyTCPServer`, reachable off-host) or a Unix-domain
+  (:class:`TCPTransport`, reachable off-host) or a Unix-domain
   socket (:class:`~repro.serve.transport.UnixSocketTransport`, for
   co-located producers -- no TCP/IP stack in the path, filesystem
   permissions gate access).  ``ServiceSpec``/``repro serve`` select via
@@ -73,14 +73,13 @@ metric -- lives in ``docs/OPERATIONS.md``; the package-by-package data
 flow is mapped in ``docs/ARCHITECTURE.md``.
 """
 
-from . import wire
+from . import ops, wire
 from .batcher import BACKPRESSURE_POLICIES, MicroBatcher, QueueFullError
 from .service import AnomalyService, ServiceConfig, ServiceStats
 from .session import (Alarm, ScoredSample, ScoringSession, SessionClosedError,
                       WindowRequest)
-from .tcp import (PROTOCOLS, AnomalyTCPServer, AnomalyWireServer,
-                  BinaryClient, ServerTimeoutError, TCPClient,
-                  write_endpoint_file)
+from .tcp import (PROTOCOLS, AnomalyWireServer, BinaryClient,
+                  ServerTimeoutError, TCPClient, write_endpoint_file)
 from .transport import (HAS_UNIX_SOCKETS, TCPTransport, Transport,
                         UnixSocketTransport, make_transport)
 
@@ -97,7 +96,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "AnomalyWireServer",
-    "AnomalyTCPServer",
     "TCPClient",
     "BinaryClient",
     "ServerTimeoutError",
@@ -109,4 +107,5 @@ __all__ = [
     "HAS_UNIX_SOCKETS",
     "write_endpoint_file",
     "wire",
+    "ops",
 ]

@@ -13,18 +13,17 @@ Every connection speaks one of two *protocols*, decided by its first byte
   per PUSH frame; the compact ingest path for high sample rates (see
   :mod:`repro.serve.wire` for the frame layout).
 
-JSON requests (client -> server)::
+JSON requests (client -> server) are objects with an ``"op"`` key plus
+op-specific fields, e.g.::
 
     {"op": "open",  "stream": "cell-7"}            optional: "max_samples",
                                                    "tenant" (cluster workers)
     {"op": "push",  "stream": "cell-7", "values": [0.1, 0.2, ...]}
-    {"op": "close", "stream": "cell-7"}
-    {"op": "stats"}
-    {"op": "ping"}
-    {"op": "metrics"}                              Prometheus text snapshot
-    {"op": "trace"}                                Chrome trace JSON snapshot
-    {"op": "snapshot"}                             rich JSON state (always on)
-    {"op": "shutdown"}                             stops the whole server
+
+Every op, its binary opcode (or "JSON-only") and its routing class at the
+shard router is listed in the op table of ``docs/ARCHITECTURE.md`` ("Wire
+ops"), which mirrors :data:`repro.serve.ops.OPS` -- the one table both
+codecs, both clients and the router derive from.
 
 (``metrics`` and ``trace`` answer only when the service was built with
 ``ServiceConfig(observability=True)``; otherwise they get a structured
@@ -32,8 +31,8 @@ error reply, like any other rejected op.  ``snapshot`` answers always --
 it reads counters the hot path maintains anyway -- and is what
 :mod:`repro.cluster` aggregates into fleet stats.)
 
-Two further control-plane ops exist for the cluster's session re-homing,
-``export_session`` and ``import_session``; they are refused unless the
+The control-plane ops for the cluster's session re-homing,
+``export_session`` and ``import_session``, are refused unless the
 server was built with ``allow_handoff=True`` (cluster workers only --
 imported blobs are pickles and must never be accepted from untrusted
 clients).
@@ -50,7 +49,8 @@ raised by any stream of this connection::
     {"event": "alarm", "stream": "cell-7", "index": 412,
      "score": 3.1, "threshold": 1.9}
 
-The binary protocol mirrors the same six ops frame-for-frame; its PUSH
+The binary protocol carries every op that has frames in the op table
+(all but the JSON-only lifecycle ops) frame-for-frame; its PUSH
 frames batch ``(n_samples, n_channels)`` float32 blocks and are acked once
 per frame.  Malformed JSON gets an error *reply* and the connection
 continues; malformed binary framing gets an ERROR frame and the connection
@@ -65,9 +65,10 @@ surfaces as an error reply; under ``"block"`` the reply is simply delayed
 
 *Transports* are pluggable too (:mod:`repro.serve.transport`):
 :class:`AnomalyWireServer` serves over any :class:`~repro.serve.transport.
-Transport`; :class:`AnomalyTCPServer` is the TCP spelling, and a
-:class:`~repro.serve.transport.UnixSocketTransport` serves co-located
-producers with no TCP/IP stack in the path.  Clients mirror the split:
+Transport`: a :class:`~repro.serve.transport.TCPTransport` serves
+off-host producers, and a :class:`~repro.serve.transport.
+UnixSocketTransport` serves co-located producers with no TCP/IP stack in
+the path.  Clients mirror the split:
 :class:`TCPClient` (JSON) and :class:`BinaryClient` share one blocking
 request core and both accept ``uds_path=`` to connect over a Unix socket.
 Streams opened by a connection are closed (and drained) when that
@@ -86,28 +87,17 @@ from typing import Any, Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
-from . import wire
+from . import ops, wire
 from .service import AnomalyService
-from .session import ScoredSample
 from .transport import (TCPTransport, Transport, UnixSocketTransport,
                         bound_port)
 
-__all__ = ["AnomalyWireServer", "AnomalyTCPServer", "TCPClient",
-           "BinaryClient", "ServerTimeoutError", "PROTOCOLS",
-           "write_endpoint_file"]
+__all__ = ["AnomalyWireServer", "TCPClient", "BinaryClient",
+           "ServerTimeoutError", "PROTOCOLS", "write_endpoint_file"]
 
 #: The protocols a server may accept; ``AnomalyWireServer(protocols=...)``
 #: restricts them (e.g. binary-only for a production ingest socket).
 PROTOCOLS = ("json", "binary")
-
-_OP_CODES = {"open": wire.OP_OPEN, "push": wire.OP_PUSH,
-             "close": wire.OP_CLOSE, "stats": wire.OP_STATS,
-             "ping": wire.OP_PING, "shutdown": wire.OP_SHUTDOWN,
-             "metrics": wire.OP_METRICS, "trace": wire.OP_TRACE,
-             "snapshot": wire.OP_SNAPSHOT,
-             "export_session": wire.OP_EXPORT_SESSION,
-             "import_session": wire.OP_IMPORT_SESSION}
-_OP_NAMES = {code: name for name, code in _OP_CODES.items()}
 
 
 def write_endpoint_file(path: Union[str, Path], text: str) -> None:
@@ -135,26 +125,9 @@ class _MalformedRequest(Exception):
     unrecoverable ones (corrupt binary framing -- reply once, then close).
     """
 
-    def __init__(self, message: str, *, request_op: Optional[str] = None,
-                 fatal: bool = False) -> None:
+    def __init__(self, message: str, *, fatal: bool = False) -> None:
         super().__init__(message)
-        self.message = message
-        self.request_op = request_op
         self.fatal = fatal
-
-
-def _event_payload(sample: ScoredSample) -> Dict[str, Any]:
-    payload = {
-        "event": "alarm",
-        "stream": sample.stream_id,
-        "index": sample.index,
-        "score": sample.score,
-        "threshold": sample.threshold,
-    }
-    # Optional so fingerprint-less events keep the pre-lifecycle shape.
-    if sample.fingerprint is not None:
-        payload["fingerprint"] = sample.fingerprint
-    return payload
 
 
 def _json_line(payload: Dict[str, Any]) -> bytes:
@@ -193,12 +166,8 @@ class _JSONServerConnection:
     def write_reply(self, reply: Dict[str, Any]) -> None:
         self._writer.write(_json_line(reply))
 
-    def write_error(self, error: _MalformedRequest) -> None:
-        self.write_reply({"ok": False, "op": error.request_op,
-                          "error": error.message})
-
-    def write_event(self, sample: ScoredSample) -> None:
-        self._writer.write(_json_line(_event_payload(sample)))
+    def write_event(self, event: wire.AlarmEvent) -> None:
+        self._writer.write(_json_line(ops.reply_message(event)))
 
 
 class _BinaryServerConnection:
@@ -231,112 +200,200 @@ class _BinaryServerConnection:
                         "connection dropped mid-frame", fatal=True)
                 return None
             self._decoder.feed(chunk)
-        return self._to_message(self._pending.pop(0))
-
-    @staticmethod
-    def _to_message(frame: wire.Frame) -> Dict[str, Any]:
-        if isinstance(frame, wire.Open):
-            message: Dict[str, Any] = {"op": "open", "stream": frame.stream}
-            if frame.max_samples is not None:
-                message["max_samples"] = frame.max_samples
-            if frame.tenant is not None:
-                message["tenant"] = frame.tenant
-            return message
-        if isinstance(frame, wire.Push):
-            return {"op": "push", "stream": frame.stream,
-                    "values": np.asarray(frame.samples, dtype=np.float64)}
-        if isinstance(frame, wire.Close):
-            return {"op": "close", "stream": frame.stream}
-        if isinstance(frame, wire.ExportSession):
-            return {"op": "export_session", "stream": frame.stream}
-        if isinstance(frame, wire.ImportSession):
-            return {"op": "import_session", "tenant": frame.tenant,
-                    "state": frame.state}
-        for frame_type, op in ((wire.Stats, "stats"), (wire.Ping, "ping"),
-                               (wire.Shutdown, "shutdown"),
-                               (wire.Metrics, "metrics"),
-                               (wire.Trace, "trace"),
-                               (wire.Snapshot, "snapshot")):
-            if isinstance(frame, frame_type):
-                return {"op": op}
-        # A structurally valid frame that is not a request (a client echoing
-        # server reply ops): framing is still synchronised, so answer with a
-        # structured error and keep the connection.
-        raise _MalformedRequest(
-            f"frame op 0x{frame.op:02X} is not a request op")
+        frame = self._pending.pop(0)
+        message = ops.request_message(frame)
+        if message is None:
+            # A structurally valid frame that is not a request (a client
+            # echoing server reply ops): framing is still synchronised, so
+            # answer with a structured error and keep the connection.
+            raise _MalformedRequest(
+                f"frame op 0x{frame.op:02X} is not a request op")
+        return message
 
     def write_reply(self, reply: Dict[str, Any]) -> None:
-        self._writer.write(wire.encode(self._to_frame(reply)))
+        self._writer.write(wire.encode(ops.reply_frame(reply)))
 
-    def write_error(self, error: _MalformedRequest) -> None:
-        request_op = _OP_CODES.get(error.request_op, 0)
-        self._writer.write(wire.encode(
-            wire.ErrorReply(request_op=request_op, message=error.message)))
-
-    def write_event(self, sample: ScoredSample) -> None:
-        self._writer.write(wire.encode(wire.AlarmEvent(
-            stream=sample.stream_id, index=sample.index,
-            score=sample.score, threshold=sample.threshold,
-            fingerprint=sample.fingerprint)))
-
-    @staticmethod
-    def _to_frame(reply: Dict[str, Any]) -> wire.Frame:
-        op = reply.get("op")
-        if not reply.get("ok"):
-            return wire.ErrorReply(request_op=_OP_CODES.get(op, 0),
-                                   message=str(reply.get("error")))
-        if op == "open":
-            return wire.OpenAck(stream=reply["stream"],
-                                window=reply["window"],
-                                incremental=reply["incremental"],
-                                threshold=reply["threshold"])
-        if op == "push":
-            return wire.PushAck(accepted=reply["accepted"])
-        if op == "close":
-            return wire.CloseAck(
-                stream=reply["stream"],
-                samples_pushed=reply["samples_pushed"],
-                samples_scored=reply["samples_scored"],
-                samples_dropped=reply["samples_dropped"],
-                adaptation_events=reply["adaptation_events"])
-        if op == "stats":
-            p99 = reply["queue_delay_p99_s"]
-            return wire.StatsAck(
-                live_sessions=reply["live_sessions"],
-                samples_pushed=reply["samples_pushed"],
-                samples_scored=reply["samples_scored"],
-                samples_dropped=reply["samples_dropped"],
-                flushes=reply["flushes"],
-                mean_batch_size=reply["mean_batch_size"],
-                queue_delay_p99_s=float("nan") if p99 is None else p99)
-        if op == "ping":
-            return wire.PingAck()
-        if op == "shutdown":
-            return wire.ShutdownAck()
-        if op == "metrics":
-            return wire.MetricsAck(text=reply["text"])
-        if op == "trace":
-            return wire.TraceAck(json_text=json.dumps(
-                reply["trace"], allow_nan=False, separators=(",", ":")))
-        if op == "snapshot":
-            return wire.SnapshotAck(json_text=json.dumps(
-                reply["snapshot"], allow_nan=False, separators=(",", ":")))
-        if op == "export_session":
-            return wire.ExportSessionAck(stream=reply["stream"],
-                                         tenant=reply["tenant"],
-                                         state=reply["state"])
-        if op == "import_session":
-            return wire.ImportSessionAck(stream=reply["stream"])
-        raise RuntimeError(f"no binary encoding for reply op {op!r}")
+    def write_event(self, event: wire.AlarmEvent) -> None:
+        self._writer.write(wire.encode(event))
 
 
-class AnomalyWireServer:
+class _Connection:
+    """One accepted connection: its codec and the streams it owns."""
+
+    def __init__(self, codec, writer: asyncio.StreamWriter) -> None:
+        self.codec = codec
+        self.writer = writer
+        self.protocol = codec.protocol
+        #: live streams this connection opened (closed when it drops)
+        self.owned: List[str] = []
+        # The alarm forwarder filters on every stream this connection EVER
+        # owned, not the live set: a close drains pending windows whose
+        # alarms are broadcast before the close handler prunes `owned`, and
+        # those end-of-stream alarms must still reach the client.
+        # (Consequence: do not reuse a closed stream id from a different
+        # connection.)
+        self.ever_owned: set = set()
+        self.tasks: List[asyncio.Task] = []
+
+
+class _FrontDoor:
+    """What :class:`AnomalyWireServer` and the shard router share.
+
+    First-byte protocol negotiation, the request loop with its
+    malformed-input policy, op-table dispatch (:meth:`_serve`) and the
+    ``ping``/``shutdown`` handlers.  Once the endpoint is stopping, a
+    connection closes after its current reply.
+    """
+
+    transport: Transport
+    allow_shutdown: bool = True
+    protocols = PROTOCOLS
+    _server: Optional[asyncio.AbstractServer] = None
+    _stopping: Optional[asyncio.Event] = None
+    # Wire-level metric families (None family = no-op).
+    _connections_total = None
+    _requests_total = None
+    _wire_errors_total = None
+
+    @property
+    def bound_port(self) -> int:
+        """The actual TCP port (useful with ``port=0`` ephemeral binding)."""
+        if self._server is None:
+            raise RuntimeError("server is not running")
+        if not isinstance(self.transport, TCPTransport):
+            raise RuntimeError(
+                f"the {self.transport.kind!r} transport has no TCP port"
+            )
+        return bound_port(self._server)
+
+    @property
+    def bound_address(self) -> str:
+        """Endpoint text once listening (port number for TCP, path for UDS)."""
+        if self._server is None:
+            raise RuntimeError("server is not running")
+        return self.transport.address_text(self._server)
+
+    def request_stop(self) -> None:
+        """Ask ``serve_forever`` to wind down (idempotent)."""
+        if self._stopping is not None:
+            self._stopping.set()
+
+    # -- per-connection handling ------------------------------------------- #
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        conn: Optional[_Connection] = None
+        try:
+            first = await reader.read(1)
+            if first:
+                codec = _BinaryServerConnection \
+                    if first == wire.MAGIC[:1] else _JSONServerConnection
+                conn = _Connection(codec(reader, writer, first), writer)
+                await self._connection_loop(conn)
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            if conn is not None:
+                await self._disconnected(conn)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionResetError, BrokenPipeError, OSError):
+                pass
+            except asyncio.CancelledError:
+                # Loop teardown cancelled us mid-close; the transport is
+                # going away with the loop, so a silent return is clean.
+                return
+
+    async def _connection_loop(self, conn: _Connection) -> None:
+        codec = conn.codec
+        if conn.protocol not in self.protocols:
+            codec.write_reply({
+                "ok": False, "op": None,
+                "error": f"the {conn.protocol} protocol is disabled on this "
+                         f"server (accepted: {', '.join(self.protocols)})"})
+            await conn.writer.drain()
+            return
+        if self._connections_total is not None:
+            self._connections_total.labels(protocol=conn.protocol).inc()
+        self._connected(conn)
+        while True:
+            try:
+                message = await codec.read_request()
+            except _MalformedRequest as error:
+                if self._wire_errors_total is not None:
+                    self._wire_errors_total.labels(
+                        protocol=conn.protocol).inc()
+                codec.write_reply(
+                    {"ok": False, "op": None, "error": str(error)})
+                try:
+                    await conn.writer.drain()
+                except (ConnectionResetError, BrokenPipeError):
+                    return
+                if error.fatal:
+                    return
+                continue
+            if message is None:
+                return
+            if self._requests_total is not None:
+                name = message.get("op")
+                self._requests_total.labels(
+                    protocol=conn.protocol,
+                    op=name if ops.lookup(name) else "unknown").inc()
+            reply = await self._dispatch(message, conn)
+            if not reply.get("ok") and self._wire_errors_total is not None:
+                self._wire_errors_total.labels(protocol=conn.protocol).inc()
+            codec.write_reply(reply)
+            await conn.writer.drain()
+            if self._stopping is not None and self._stopping.is_set():
+                return
+
+    def _connected(self, conn: _Connection) -> None:
+        """Hook: ``conn`` passed negotiation and starts its request loop."""
+
+    async def _disconnected(self, conn: _Connection) -> None:
+        """Hook: ``conn`` dropped; release what it owned."""
+
+    async def _dispatch(self, message: Dict[str, Any],
+                        conn: _Connection) -> Dict[str, Any]:
+        name = message.get("op")
+        op = ops.lookup(name)
+        try:
+            if op is None:
+                raise ValueError(f"unknown op {name!r}")
+            return await self._serve(op, message, conn)
+        except (ValueError, TypeError, LookupError, RuntimeError,
+                ConnectionError) as error:
+            # TypeError covers malformed client payloads (e.g. a string
+            # max_samples) -- one error reply, never a dropped connection.
+            return {"ok": False, "op": name if isinstance(name, str) else None,
+                    "error": str(error)}
+
+    async def _serve(self, op: ops.Op, message: Dict[str, Any],
+                     conn: _Connection) -> Dict[str, Any]:
+        """Answer one request for a known op (raise to reply an error)."""
+        return await getattr(self, op.handler)(message, conn)
+
+    async def _op_ping(self, message: Dict[str, Any],
+                       conn: _Connection) -> Dict[str, Any]:
+        return {"ok": True, "op": "ping"}
+
+    async def _op_shutdown(self, message: Dict[str, Any],
+                           conn: _Connection) -> Dict[str, Any]:
+        if not self.allow_shutdown:
+            raise ValueError("shutdown is disabled on this server")
+        self.request_stop()
+        return {"ok": True, "op": "shutdown"}
+
+
+class AnomalyWireServer(_FrontDoor):
     """Serve an :class:`AnomalyService` over a pluggable transport.
 
     One dispatch core handles every connection; each connection's first
     byte selects its protocol codec (``0xAB`` = binary, else line JSON).
     ``protocols`` restricts what this listener accepts -- a connection
     speaking a disabled protocol gets one structured error and is closed.
+    Each op is served by the method its op-table entry names
+    (:attr:`repro.serve.ops.Op.handler`).
     """
 
     def __init__(self, service: AnomalyService, transport: Transport, *,
@@ -359,14 +416,9 @@ class AnomalyWireServer:
                 f"protocols must be a non-empty subset of {PROTOCOLS}, "
                 f"got {tuple(protocols)!r}"
             )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stopping: Optional[asyncio.Event] = None
-        # Wire-level metric families, registered into the service's
-        # registry when observability is on (None family = no-op).
-        self._connections_total = None
-        self._requests_total = None
-        self._wire_errors_total = None
         self._alarm_events_total = None
+        # Wire-level metric families, registered into the service's
+        # registry when observability is on.
         if service.observability is not None:
             registry = service.observability.registry
             self._connections_total = registry.counter(
@@ -385,24 +437,6 @@ class AnomalyWireServer:
                 "repro_wire_alarm_events_total",
                 "Unsolicited alarm events forwarded to clients.",
                 labels=("protocol",))
-
-    @property
-    def bound_port(self) -> int:
-        """The actual TCP port (useful with ``port=0`` ephemeral binding)."""
-        if self._server is None:
-            raise RuntimeError("server is not running")
-        if not isinstance(self.transport, TCPTransport):
-            raise RuntimeError(
-                f"the {self.transport.kind!r} transport has no TCP port"
-            )
-        return bound_port(self._server)
-
-    @property
-    def bound_address(self) -> str:
-        """Endpoint text once listening (port number for TCP, path for UDS)."""
-        if self._server is None:
-            raise RuntimeError("server is not running")
-        return self.transport.address_text(self._server)
 
     async def serve_forever(self,
                             port_file: Optional[Union[str, Path]] = None,
@@ -436,11 +470,6 @@ class AnomalyWireServer:
         finally:
             for service in reversed(started):
                 await service.stop()
-
-    def request_stop(self) -> None:
-        """Ask :meth:`serve_forever` to wind down (idempotent)."""
-        if self._stopping is not None:
-            self._stopping.set()
 
     # -- the served services (overridable: multi-tenant cluster workers) ---- #
     def _all_services(self) -> Iterable[AnomalyService]:
@@ -494,267 +523,174 @@ class AnomalyWireServer:
         rollback); multi-tenant servers re-key their fingerprint maps."""
 
     # -- per-connection handling ------------------------------------------- #
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        owned: List[str] = []
-        # The forwarder filters on every stream this connection EVER owned,
-        # not the live set: a close drains pending windows whose alarms are
-        # broadcast before the close handler prunes `owned`, and those
-        # end-of-stream alarms must still reach the client.  (Consequence:
-        # do not reuse a closed stream id from a different connection.)
-        ever_owned: set = set()
-        alarm_tasks: List[asyncio.Task] = []
-        try:
-            first = await reader.read(1)
-            if first:
-                codec = self._negotiate(reader, writer, first)
-                alarm_tasks = [
-                    asyncio.create_task(
-                        self._forward_alarms(service, codec, writer,
-                                             ever_owned))
-                    for service in self._all_services()]
-                await self._connection_loop(codec, writer, owned, ever_owned)
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            for alarm_task in alarm_tasks:
-                alarm_task.cancel()
-            for alarm_task in alarm_tasks:
-                try:
-                    await alarm_task
-                except asyncio.CancelledError:
-                    pass
-            # A dropped producer must not leak its sessions.
-            for stream_id in owned:
-                service = self._session_service(stream_id)
-                if service is not None:
-                    try:
-                        await service.close_session(stream_id)
-                    except RuntimeError:
-                        pass   # service already stopped
-                    self._forget_stream(stream_id)
-            writer.close()
+    def _connected(self, conn: _Connection) -> None:
+        conn.tasks = [asyncio.create_task(self._forward_alarms(service, conn))
+                      for service in self._all_services()]
+
+    async def _disconnected(self, conn: _Connection) -> None:
+        for alarm_task in conn.tasks:
+            alarm_task.cancel()
+        for alarm_task in conn.tasks:
             try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+                await alarm_task
+            except asyncio.CancelledError:
                 pass
-
-    def _negotiate(self, reader: asyncio.StreamReader,
-                   writer: asyncio.StreamWriter, first: bytes):
-        """First byte decides the protocol: 0xAB = binary, else line JSON."""
-        if first == wire.MAGIC[:1]:
-            codec = _BinaryServerConnection(reader, writer, first)
-        else:
-            codec = _JSONServerConnection(reader, writer, first)
-        return codec
-
-    async def _connection_loop(self, codec, writer: asyncio.StreamWriter,
-                               owned: List[str], ever_owned: set) -> None:
-        if codec.protocol not in self.protocols:
-            codec.write_error(_MalformedRequest(
-                f"the {codec.protocol} protocol is disabled on this server "
-                f"(accepted: {', '.join(self.protocols)})", fatal=True))
-            await writer.drain()
-            return
-        if self._connections_total is not None:
-            self._connections_total.labels(protocol=codec.protocol).inc()
-        while True:
-            try:
-                message = await codec.read_request()
-            except _MalformedRequest as error:
-                if self._wire_errors_total is not None:
-                    self._wire_errors_total.labels(
-                        protocol=codec.protocol).inc()
-                codec.write_error(error)
+        # A dropped producer must not leak its sessions.
+        for stream_id in conn.owned:
+            service = self._session_service(stream_id)
+            if service is not None:
                 try:
-                    await writer.drain()
-                except (ConnectionResetError, BrokenPipeError):
-                    return
-                if error.fatal:
-                    return
-                continue
-            if message is None:
-                return
-            if self._requests_total is not None:
-                op = message.get("op")
-                self._requests_total.labels(
-                    protocol=codec.protocol,
-                    op=op if op in _OP_CODES else "unknown").inc()
-            reply = await self._dispatch(message, owned, ever_owned)
-            if not reply.get("ok") and self._wire_errors_total is not None:
-                self._wire_errors_total.labels(protocol=codec.protocol).inc()
-            codec.write_reply(reply)
-            await writer.drain()
-            if reply.get("op") == "shutdown" and reply.get("ok"):
-                return
+                    await service.close_session(stream_id)
+                except RuntimeError:
+                    pass   # service already stopped
+                self._forget_stream(stream_id)
 
-    async def _forward_alarms(self, service: AnomalyService, codec,
-                              writer: asyncio.StreamWriter,
-                              ever_owned: set) -> None:
+    async def _forward_alarms(self, service: AnomalyService,
+                              conn: _Connection) -> None:
         async for alarm in service.alarms():
-            if alarm.stream_id not in ever_owned:
+            if alarm.stream_id not in conn.ever_owned:
                 continue
             try:
-                codec.write_event(alarm)
-                await writer.drain()
+                conn.codec.write_event(wire.AlarmEvent(
+                    alarm.stream_id, alarm.index, alarm.score,
+                    alarm.threshold, alarm.fingerprint))
+                await conn.writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 return
             if self._alarm_events_total is not None:
                 self._alarm_events_total.labels(
-                    protocol=codec.protocol).inc()
+                    protocol=conn.protocol).inc()
 
-    async def _dispatch(self, message: Dict[str, Any], owned: List[str],
-                        ever_owned: set) -> Dict[str, Any]:
-        op = message["op"]
-        try:
-            if op == "ping":
-                return {"ok": True, "op": "ping"}
-            if op == "stats":
-                return dict(_stats_payload(self._merged_stats()),
-                            ok=True, op="stats")
-            if op == "snapshot":
-                return {"ok": True, "op": "snapshot",
-                        "snapshot": self._snapshot()}
-            if op == "open":
-                stream_id = _required_stream(message)
-                service = self._service_for(message)
-                session = await service.open_session(
-                    stream_id, max_samples=message.get("max_samples"))
-                self._register_stream(stream_id, message)
-                owned.append(stream_id)
-                ever_owned.add(stream_id)
-                threshold = session.threshold
-                return {"ok": True, "op": "open", "stream": stream_id,
-                        "window": service.detector.window,
-                        "incremental": session.incremental_active,
-                        "threshold": None if threshold is None
-                        else threshold.threshold}
-            if op == "push":
-                stream_id = _required_stream(message)
-                block = _push_block(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    service = self._service_for(message)  # auto-open path
-                    self._register_stream(stream_id, message)
-                    owned.append(stream_id)
-                    ever_owned.add(stream_id)
-                for row in block:
-                    await service.push(stream_id, row)
-                return {"ok": True, "op": "push",
-                        "accepted": int(block.shape[0])}
-            if op == "close":
-                stream_id = _required_stream(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    raise ValueError(f"unknown stream {stream_id!r}")
-                session = await service.close_session(stream_id)
-                self._forget_stream(stream_id)
-                if stream_id in owned:
-                    owned.remove(stream_id)
-                return {"ok": True, "op": "close", "stream": stream_id,
-                        "samples_pushed": session.samples_pushed,
-                        "samples_scored": session.samples_scored,
-                        "samples_dropped": session.samples_dropped,
-                        "adaptation_events": len(session.adaptation_events)}
-            if op == "export_session":
-                if not self.allow_handoff:
-                    raise ValueError(
-                        "session handoff is disabled on this server")
-                stream_id = _required_stream(message)
-                service = self._session_service(stream_id)
-                if service is None:
-                    raise ValueError(f"unknown stream {stream_id!r}")
-                tenant = self._tenant_for_stream(stream_id)
-                blob = await service.export_session(stream_id)
-                self._forget_stream(stream_id)
-                if stream_id in owned:
-                    owned.remove(stream_id)
-                return {"ok": True, "op": "export_session",
-                        "stream": stream_id, "tenant": tenant,
-                        "state": base64.b64encode(blob).decode("ascii")}
-            if op == "import_session":
-                if not self.allow_handoff:
-                    raise ValueError(
-                        "session handoff is disabled on this server")
-                service = self._service_for(message)
-                state = message.get("state")
-                if not isinstance(state, str) or not state:
-                    raise ValueError("import_session needs a 'state' string")
-                session = await service.import_session(
-                    base64.b64decode(state.encode("ascii")))
-                self._register_stream(session.stream_id, message)
-                owned.append(session.stream_id)
-                ever_owned.add(session.stream_id)
-                return {"ok": True, "op": "import_session",
-                        "stream": session.stream_id}
-            if op == "metrics":
-                return {"ok": True, "op": "metrics",
-                        "text": self._metrics_text()}
-            if op == "trace":
-                return {"ok": True, "op": "trace",
-                        "trace": self.service.trace_export()}
-            if op == "canary":
-                service = self._service_for(message)
-                controller = _build_canary(message)
-                service.attach_canary(controller)
-                watch = message.get("watch")
-                if watch is not None and watch is not False:
-                    from ..lifecycle import MetaWatcher, WatchPolicy
-                    policy = WatchPolicy(**watch) \
-                        if isinstance(watch, dict) else WatchPolicy()
-                    service.attach_watcher(MetaWatcher(policy))
-                return {"ok": True, "op": "canary",
-                        "fingerprint": controller.fingerprint,
-                        "fraction": controller.fraction,
-                        "gates": controller.gates.to_dict()}
-            if op == "canary_status":
-                service = self._service_for(message)
-                controller = service.canary
-                if controller is None:
-                    raise ValueError("no canary is attached")
-                return {"ok": True, "op": "canary_status",
-                        "report": controller.evaluate().to_dict()}
-            if op == "canary_stop":
-                service = self._service_for(message)
-                controller = service.stop_canary()
-                return {"ok": True, "op": "canary_stop",
-                        "report": controller.evaluate().to_dict()}
-            if op == "promote":
-                service = self._service_for(message)
-                result = await service.promote(
-                    force=bool(message.get("force", False)))
-                if result["promoted"]:
-                    self._note_swap(service)
-                return dict(result, ok=True, op="promote")
-            if op == "rollback":
-                service = self._service_for(message)
-                result = await service.rollback(
-                    reason=str(message.get("reason", "manual")))
-                self._note_swap(service)
-                return dict(result, ok=True, op="rollback")
-            if op == "shutdown":
-                if not self.allow_shutdown:
-                    raise ValueError("shutdown is disabled on this server")
-                self.request_stop()
-                return {"ok": True, "op": "shutdown"}
-            raise ValueError(f"unknown op {op!r}")
-        except (ValueError, TypeError, KeyError, RuntimeError) as error:
-            # TypeError covers malformed client payloads (e.g. a string
-            # max_samples) -- one error reply, never a dropped connection.
-            return {"ok": False, "op": op if isinstance(op, str) else None,
-                    "error": str(error)}
+    def _own(self, conn: _Connection, stream_id: str,
+             message: Dict[str, Any]) -> None:
+        self._register_stream(stream_id, message)
+        conn.owned.append(stream_id)
+        conn.ever_owned.add(stream_id)
 
+    def _disown(self, conn: _Connection, stream_id: str) -> None:
+        self._forget_stream(stream_id)
+        if stream_id in conn.owned:
+            conn.owned.remove(stream_id)
 
-class AnomalyTCPServer(AnomalyWireServer):
-    """The TCP spelling of :class:`AnomalyWireServer` (the default)."""
+    # -- the ops, one handler each (named by the op table) ------------------ #
+    async def _op_stats(self, message, conn) -> Dict[str, Any]:
+        return dict(_stats_payload(self._merged_stats()), ok=True, op="stats")
 
-    def __init__(self, service: AnomalyService, host: str = "127.0.0.1",
-                 port: int = 7007, *, allow_shutdown: bool = True,
-                 protocols: Iterable[str] = PROTOCOLS) -> None:
-        super().__init__(service, TCPTransport(host, port),
-                         allow_shutdown=allow_shutdown, protocols=protocols)
-        self.host = host
-        self.port = port
+    async def _op_snapshot(self, message, conn) -> Dict[str, Any]:
+        return {"ok": True, "op": "snapshot", "snapshot": self._snapshot()}
+
+    async def _op_open(self, message, conn) -> Dict[str, Any]:
+        stream_id = _required_stream(message)
+        service = self._service_for(message)
+        session = await service.open_session(
+            stream_id, max_samples=message.get("max_samples"))
+        self._own(conn, stream_id, message)
+        threshold = session.threshold
+        return {"ok": True, "op": "open", "stream": stream_id,
+                "window": service.detector.window,
+                "incremental": session.incremental_active,
+                "threshold": None if threshold is None
+                else threshold.threshold}
+
+    async def _op_push(self, message, conn) -> Dict[str, Any]:
+        stream_id = _required_stream(message)
+        block = _push_block(message)
+        service = self._session_service(stream_id)
+        if service is None:
+            service = self._service_for(message)  # auto-open path
+            self._own(conn, stream_id, message)
+        for row in block:
+            await service.push(stream_id, row)
+        return {"ok": True, "op": "push", "accepted": int(block.shape[0])}
+
+    async def _op_close(self, message, conn) -> Dict[str, Any]:
+        stream_id = _required_stream(message)
+        service = self._session_service(stream_id)
+        if service is None:
+            raise ValueError(f"unknown stream {stream_id!r}")
+        session = await service.close_session(stream_id)
+        self._disown(conn, stream_id)
+        return {"ok": True, "op": "close", "stream": stream_id,
+                "samples_pushed": session.samples_pushed,
+                "samples_scored": session.samples_scored,
+                "samples_dropped": session.samples_dropped,
+                "adaptation_events": len(session.adaptation_events)}
+
+    async def _op_export_session(self, message, conn) -> Dict[str, Any]:
+        if not self.allow_handoff:
+            raise ValueError("session handoff is disabled on this server")
+        stream_id = _required_stream(message)
+        service = self._session_service(stream_id)
+        if service is None:
+            raise ValueError(f"unknown stream {stream_id!r}")
+        tenant = self._tenant_for_stream(stream_id)
+        blob = await service.export_session(stream_id)
+        self._disown(conn, stream_id)
+        return {"ok": True, "op": "export_session", "stream": stream_id,
+                "tenant": tenant,
+                "state": base64.b64encode(blob).decode("ascii")}
+
+    async def _op_import_session(self, message, conn) -> Dict[str, Any]:
+        if not self.allow_handoff:
+            raise ValueError("session handoff is disabled on this server")
+        service = self._service_for(message)
+        state = message.get("state")
+        if not isinstance(state, str) or not state:
+            raise ValueError("import_session needs a 'state' string")
+        session = await service.import_session(
+            base64.b64decode(state.encode("ascii")))
+        self._own(conn, session.stream_id, message)
+        return {"ok": True, "op": "import_session",
+                "stream": session.stream_id}
+
+    async def _op_metrics(self, message, conn) -> Dict[str, Any]:
+        return {"ok": True, "op": "metrics", "text": self._metrics_text()}
+
+    async def _op_trace(self, message, conn) -> Dict[str, Any]:
+        return {"ok": True, "op": "trace",
+                "trace": self.service.trace_export()}
+
+    async def _op_canary(self, message, conn) -> Dict[str, Any]:
+        service = self._service_for(message)
+        controller = _build_canary(message)
+        service.attach_canary(controller)
+        watch = message.get("watch")
+        if watch is not None and watch is not False:
+            from ..lifecycle import MetaWatcher, WatchPolicy
+            policy = WatchPolicy(**watch) \
+                if isinstance(watch, dict) else WatchPolicy()
+            service.attach_watcher(MetaWatcher(policy))
+        return {"ok": True, "op": "canary",
+                "fingerprint": controller.fingerprint,
+                "fraction": controller.fraction,
+                "gates": controller.gates.to_dict()}
+
+    async def _op_canary_status(self, message, conn) -> Dict[str, Any]:
+        controller = self._service_for(message).canary
+        if controller is None:
+            raise ValueError("no canary is attached")
+        return {"ok": True, "op": "canary_status",
+                "report": controller.evaluate().to_dict()}
+
+    async def _op_canary_stop(self, message, conn) -> Dict[str, Any]:
+        controller = self._service_for(message).stop_canary()
+        return {"ok": True, "op": "canary_stop",
+                "report": controller.evaluate().to_dict()}
+
+    async def _op_promote(self, message, conn) -> Dict[str, Any]:
+        service = self._service_for(message)
+        result = await service.promote(
+            force=bool(message.get("force", False)))
+        if result["promoted"]:
+            self._note_swap(service)
+        return dict(result, ok=True, op="promote")
+
+    async def _op_rollback(self, message, conn) -> Dict[str, Any]:
+        service = self._service_for(message)
+        result = await service.rollback(
+            reason=str(message.get("reason", "manual")))
+        self._note_swap(service)
+        return dict(result, ok=True, op="rollback")
 
 
 def _build_canary(message: Dict[str, Any]):
@@ -890,18 +826,21 @@ class _ClientCore:
             )
         return reply
 
+    def _call(self, op: str, **fields: Any) -> Dict[str, Any]:
+        """:meth:`_checked` request of ``op``; None-valued fields are left out."""
+        payload: Dict[str, Any] = {"op": op}
+        payload.update((key, value) for key, value in fields.items()
+                       if value is not None)
+        return self._checked(payload)
+
     # -- the protocol, one method per op ------------------------------------ #
     def ping(self) -> Dict[str, Any]:
         return self._checked({"op": "ping"})
 
     def open(self, stream_id: str, max_samples: Optional[int] = None,
              tenant: Optional[str] = None) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {"op": "open", "stream": stream_id}
-        if max_samples is not None:
-            payload["max_samples"] = max_samples
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("open", stream=stream_id, max_samples=max_samples,
+                          tenant=tenant)
 
     def push(self, stream_id: str, values) -> Dict[str, Any]:
         return self._checked({
@@ -939,10 +878,7 @@ class _ClientCore:
     def import_session(self, tenant: Optional[str],
                        state: str) -> Dict[str, Any]:
         """Re-home a previously exported session onto this server."""
-        payload: Dict[str, Any] = {"op": "import_session", "state": state}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("import_session", state=state, tenant=tenant)
 
     def metrics(self) -> str:
         """Scrape the server's Prometheus text exposition page.
@@ -969,49 +905,30 @@ class _ClientCore:
         """Attach a canary for the artifact at ``artifact`` (a server-side
         path); optionally attach a meta-watcher (``watch=True`` or a
         WatchPolicy mapping) to be armed by the eventual promotion."""
-        payload: Dict[str, Any] = {"op": "canary", "artifact": artifact,
-                                   "fraction": fraction}
-        if gates is not None:
-            payload["gates"] = gates
-        if watch is not None:
-            payload["watch"] = watch
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("canary", artifact=artifact, fraction=fraction,
+                          gates=gates, watch=watch, tenant=tenant)
 
     def canary_status(self, tenant: Optional[str] = None) -> Dict[str, Any]:
         """Evaluate the attached canary; returns the report dict.
 
         Against a cluster router the reply is the fleet shape instead:
         ``{"verdict": ..., "workers": {name: report}}``."""
-        payload: Dict[str, Any] = {"op": "canary_status"}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        reply = self._checked(payload)
+        reply = self._call("canary_status", tenant=tenant)
         return reply.get("report", reply)
 
     def canary_stop(self, tenant: Optional[str] = None) -> Dict[str, Any]:
         """Detach the canary without promoting; returns its final report."""
-        payload: Dict[str, Any] = {"op": "canary_stop"}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("canary_stop", tenant=tenant)
 
     def promote(self, *, force: bool = False,
                 tenant: Optional[str] = None) -> Dict[str, Any]:
         """Promote the attached canary's candidate (gated unless forced)."""
-        payload: Dict[str, Any] = {"op": "promote", "force": force}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("promote", force=force, tenant=tenant)
 
     def rollback(self, *, reason: str = "manual",
                  tenant: Optional[str] = None) -> Dict[str, Any]:
         """Hot-swap back to the pinned previous artifact."""
-        payload: Dict[str, Any] = {"op": "rollback", "reason": reason}
-        if tenant is not None:
-            payload["tenant"] = tenant
-        return self._checked(payload)
+        return self._call("rollback", reason=reason, tenant=tenant)
 
     def shutdown(self) -> Dict[str, Any]:
         return self._checked({"op": "shutdown"})
@@ -1087,44 +1004,9 @@ class BinaryClient(_ClientCore):
         self._decoder = wire.FrameDecoder()
         self._frames: List[wire.Frame] = []
 
-    # -- framing ------------------------------------------------------------ #
+    # -- framing (the op table's codec) ------------------------------------ #
     def _send(self, payload: Dict[str, Any]) -> None:
-        self._socket.sendall(wire.encode(self._to_frame(payload)))
-
-    @staticmethod
-    def _to_frame(payload: Dict[str, Any]) -> wire.Frame:
-        op = payload["op"]
-        if op == "open":
-            return wire.Open(payload["stream"], payload.get("max_samples"),
-                             payload.get("tenant"))
-        if op == "push":
-            return wire.Push(payload["stream"], payload["values"])
-        if op == "close":
-            return wire.Close(payload["stream"])
-        if op == "stats":
-            return wire.Stats()
-        if op == "snapshot":
-            return wire.Snapshot()
-        if op == "export_session":
-            return wire.ExportSession(payload["stream"])
-        if op == "import_session":
-            # The wire frame always carries a tenant key; a single-artifact
-            # server answers to the implicit "default" tenant.
-            return wire.ImportSession(payload.get("tenant") or "default",
-                                      payload["state"])
-        if op == "ping":
-            return wire.Ping()
-        if op == "metrics":
-            return wire.Metrics()
-        if op == "trace":
-            return wire.Trace()
-        if op == "shutdown":
-            return wire.Shutdown()
-        if op in ("canary", "canary_status", "canary_stop",
-                  "promote", "rollback"):
-            raise ValueError(
-                f"lifecycle op {op!r} is JSON-only; use the JSON protocol")
-        raise ValueError(f"unknown op {op!r}")
+        self._socket.sendall(wire.encode(ops.request_frame(payload)))
 
     def _read_message(self) -> Optional[Dict[str, Any]]:
         while not self._frames:
@@ -1135,65 +1017,7 @@ class BinaryClient(_ClientCore):
             if not chunk:
                 return None
             self._decoder.feed(chunk)
-        return self._from_frame(self._frames.pop(0))
-
-    @staticmethod
-    def _from_frame(frame: wire.Frame) -> Dict[str, Any]:
-        """Normalise a reply/event frame to its JSON-protocol dict shape."""
-        if isinstance(frame, wire.AlarmEvent):
-            event = {"event": "alarm", "stream": frame.stream,
-                     "index": frame.index, "score": frame.score,
-                     "threshold": frame.threshold}
-            if frame.fingerprint is not None:
-                event["fingerprint"] = frame.fingerprint
-            return event
-        if isinstance(frame, wire.OpenAck):
-            return {"ok": True, "op": "open", "stream": frame.stream,
-                    "window": frame.window, "incremental": frame.incremental,
-                    "threshold": frame.threshold}
-        if isinstance(frame, wire.PushAck):
-            return {"ok": True, "op": "push", "accepted": frame.accepted}
-        if isinstance(frame, wire.CloseAck):
-            return {"ok": True, "op": "close", "stream": frame.stream,
-                    "samples_pushed": frame.samples_pushed,
-                    "samples_scored": frame.samples_scored,
-                    "samples_dropped": frame.samples_dropped,
-                    "adaptation_events": frame.adaptation_events}
-        if isinstance(frame, wire.StatsAck):
-            p99 = frame.queue_delay_p99_s
-            return {"ok": True, "op": "stats",
-                    "live_sessions": frame.live_sessions,
-                    "samples_pushed": frame.samples_pushed,
-                    "samples_scored": frame.samples_scored,
-                    "samples_dropped": frame.samples_dropped,
-                    "flushes": frame.flushes,
-                    "mean_batch_size": frame.mean_batch_size,
-                    "queue_delay_p99_s": None if np.isnan(p99) else p99}
-        if isinstance(frame, wire.SnapshotAck):
-            return {"ok": True, "op": "snapshot",
-                    "snapshot": json.loads(frame.json_text)}
-        if isinstance(frame, wire.ExportSessionAck):
-            return {"ok": True, "op": "export_session",
-                    "stream": frame.stream, "tenant": frame.tenant,
-                    "state": frame.state}
-        if isinstance(frame, wire.ImportSessionAck):
-            return {"ok": True, "op": "import_session",
-                    "stream": frame.stream}
-        if isinstance(frame, wire.PingAck):
-            return {"ok": True, "op": "ping"}
-        if isinstance(frame, wire.ShutdownAck):
-            return {"ok": True, "op": "shutdown"}
-        if isinstance(frame, wire.MetricsAck):
-            return {"ok": True, "op": "metrics", "text": frame.text}
-        if isinstance(frame, wire.TraceAck):
-            return {"ok": True, "op": "trace",
-                    "trace": json.loads(frame.json_text)}
-        if isinstance(frame, wire.ErrorReply):
-            return {"ok": False,
-                    "op": _OP_NAMES.get(frame.request_op),
-                    "error": frame.message}
-        raise ConnectionError(
-            f"unexpected frame op 0x{frame.op:02X} from the server")
+        return ops.reply_message(self._frames.pop(0))
 
     # -- ops whose wire shape differs from JSON ----------------------------- #
     def push(self, stream_id: str, values) -> Dict[str, Any]:

@@ -92,8 +92,10 @@ True
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, List, Optional, Tuple, Type, Union
 
 import numpy as np
@@ -347,23 +349,6 @@ class Push:
         return push
 
 
-@dataclass(frozen=True)
-class Close:
-    stream: str
-
-    op = OP_CLOSE
-
-    def encode_payload(self) -> bytes:
-        return _pack_str(self.stream)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "Close":
-        stream, offset = _unpack_str(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError("CLOSE payload has trailing bytes")
-        return cls(stream)
-
-
 def _payloadless(name: str, op_code: int):
     """Build a frame type whose payload is empty (STATS/PING/SHUTDOWN...)."""
 
@@ -383,6 +368,82 @@ def _payloadless(name: str, op_code: int):
     }))
 
 
+def _strings(name: str, op_code: int, *fields: str, text: Optional[str] = None,
+             doc: Optional[str] = None):
+    """Build a frame type whose payload is string fields, in order.
+
+    Each of ``fields`` is ``<H``-length-prefixed; ``text``, when given,
+    names one last ``<I``-prefixed field for long documents (metrics,
+    traces, snapshots, session state blobs).
+    """
+    label = re.sub(r"(?<!^)(?=[A-Z])", "_", name).upper()
+    codecs = [(field, _pack_str, _unpack_str) for field in fields]
+    if text is not None:
+        codecs.append((text, _pack_text, _unpack_text))
+    packers = [(attrgetter(field), pack) for field, pack, _ in codecs]
+
+    def encode_payload(self) -> bytes:
+        return b"".join(pack(value_of(self)) for value_of, pack in packers)
+
+    @classmethod
+    def decode_payload(cls, payload: bytes):
+        values, offset = [], 0
+        for _, _, unpack in codecs:
+            value, offset = unpack(payload, offset)
+            values.append(value)
+        if offset != len(payload):
+            raise CorruptPayloadError(f"{label} payload has trailing bytes")
+        return cls(*values)
+
+    return dataclass(frozen=True)(type(name, (), {
+        "__doc__": doc,
+        "op": op_code,
+        "encode_payload": encode_payload,
+        "decode_payload": decode_payload,
+        "__annotations__": {field: str for field, _, _ in codecs},
+    }))
+
+
+Close = _strings("Close", OP_CLOSE, "stream")
+ExportSession = _strings(
+    "ExportSession", OP_EXPORT_SESSION, "stream",
+    doc="Drain and detach one live session for a cluster handoff.")
+ImportSessionAck = _strings(
+    "ImportSessionAck", OP_IMPORT_SESSION_ACK, "stream",
+    doc="Confirms the stream id now served by the importing worker.")
+ExportSessionAck = _strings(
+    "ExportSessionAck", OP_EXPORT_SESSION_ACK, "stream", "tenant",
+    text="state",
+    doc="""The detached session: tenant key + base64 state blob.
+
+    The blob stays base64 text end to end (message layer included) --
+    handoffs are rare control-plane events, so the 4/3 size tax buys
+    strict-JSON transparency on the line protocol and in logs.
+    """)
+ImportSession = _strings(
+    "ImportSession", OP_IMPORT_SESSION, "tenant", text="state",
+    doc="Attach an exported session blob under the given tenant.")
+SnapshotAck = _strings(
+    "SnapshotAck", OP_SNAPSHOT_ACK, text="json_text",
+    doc="""Rich service state as JSON text (counters, histogram states).
+
+    Unlike STATS_ACK's fixed struct, the snapshot schema can grow without
+    a wire version bump; :class:`repro.cluster.ClusterStats` merges these
+    across workers.
+    """)
+MetricsAck = _strings(
+    "MetricsAck", OP_METRICS_ACK, text="text",
+    doc="Prometheus text exposition snapshot (UTF-8, format 0.0.4).")
+TraceAck = _strings(
+    "TraceAck", OP_TRACE_ACK, text="json_text",
+    doc="""Chrome trace snapshot, carried as its strict-JSON text.
+
+    Kept as text (not re-parsed) so the frame round-trips byte-exactly
+    and a dump can be written straight to a ``.json`` file for Perfetto.
+    A full default ring (4096 events) serialises well under
+    :data:`MAX_PAYLOAD`; far larger rings should be dumped through
+    ``--trace-out`` or ``GET /trace`` instead, which have no frame cap.
+    """)
 Stats = _payloadless("Stats", OP_STATS)
 Ping = _payloadless("Ping", OP_PING)
 Shutdown = _payloadless("Shutdown", OP_SHUTDOWN)
@@ -391,167 +452,6 @@ Trace = _payloadless("Trace", OP_TRACE)
 Snapshot = _payloadless("Snapshot", OP_SNAPSHOT)
 PingAck = _payloadless("PingAck", OP_PING_ACK)
 ShutdownAck = _payloadless("ShutdownAck", OP_SHUTDOWN_ACK)
-
-
-@dataclass(frozen=True)
-class ExportSession:
-    """Drain and detach one live session for a cluster handoff."""
-
-    stream: str
-
-    op = OP_EXPORT_SESSION
-
-    def encode_payload(self) -> bytes:
-        return _pack_str(self.stream)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "ExportSession":
-        stream, offset = _unpack_str(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError(
-                "EXPORT_SESSION payload has trailing bytes")
-        return cls(stream)
-
-
-@dataclass(frozen=True)
-class ExportSessionAck:
-    """The detached session: tenant key + base64 state blob.
-
-    The blob stays base64 text end to end (message layer included) --
-    handoffs are rare control-plane events, so the 4/3 size tax buys
-    strict-JSON transparency on the line protocol and in logs.
-    """
-
-    stream: str
-    tenant: str
-    state: str
-
-    op = OP_EXPORT_SESSION_ACK
-
-    def encode_payload(self) -> bytes:
-        return _pack_str(self.stream) + _pack_str(self.tenant) \
-            + _pack_text(self.state)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "ExportSessionAck":
-        stream, offset = _unpack_str(payload, 0)
-        tenant, offset = _unpack_str(payload, offset)
-        state, offset = _unpack_text(payload, offset)
-        if offset != len(payload):
-            raise CorruptPayloadError(
-                "EXPORT_SESSION_ACK payload has trailing bytes")
-        return cls(stream, tenant, state)
-
-
-@dataclass(frozen=True)
-class ImportSession:
-    """Attach an exported session blob under the given tenant."""
-
-    tenant: str
-    state: str
-
-    op = OP_IMPORT_SESSION
-
-    def encode_payload(self) -> bytes:
-        return _pack_str(self.tenant) + _pack_text(self.state)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "ImportSession":
-        tenant, offset = _unpack_str(payload, 0)
-        state, offset = _unpack_text(payload, offset)
-        if offset != len(payload):
-            raise CorruptPayloadError(
-                "IMPORT_SESSION payload has trailing bytes")
-        return cls(tenant, state)
-
-
-@dataclass(frozen=True)
-class ImportSessionAck:
-    """Confirms the stream id now served by the importing worker."""
-
-    stream: str
-
-    op = OP_IMPORT_SESSION_ACK
-
-    def encode_payload(self) -> bytes:
-        return _pack_str(self.stream)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "ImportSessionAck":
-        stream, offset = _unpack_str(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError(
-                "IMPORT_SESSION_ACK payload has trailing bytes")
-        return cls(stream)
-
-
-@dataclass(frozen=True)
-class SnapshotAck:
-    """Rich service state as JSON text (counters, histogram states).
-
-    Unlike STATS_ACK's fixed struct, the snapshot schema can grow without
-    a wire version bump; :class:`repro.cluster.ClusterStats` merges these
-    across workers.
-    """
-
-    json_text: str
-
-    op = OP_SNAPSHOT_ACK
-
-    def encode_payload(self) -> bytes:
-        return _pack_text(self.json_text)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "SnapshotAck":
-        text, offset = _unpack_text(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError("SNAPSHOT_ACK payload has trailing bytes")
-        return cls(text)
-
-
-@dataclass(frozen=True)
-class MetricsAck:
-    """Prometheus text exposition snapshot (UTF-8, format 0.0.4)."""
-
-    text: str
-
-    op = OP_METRICS_ACK
-
-    def encode_payload(self) -> bytes:
-        return _pack_text(self.text)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "MetricsAck":
-        text, offset = _unpack_text(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError("METRICS_ACK payload has trailing bytes")
-        return cls(text)
-
-
-@dataclass(frozen=True)
-class TraceAck:
-    """Chrome trace snapshot, carried as its strict-JSON text.
-
-    Kept as text (not re-parsed) so the frame round-trips byte-exactly
-    and a dump can be written straight to a ``.json`` file for Perfetto.
-    A full default ring (4096 events) serialises well under
-    :data:`MAX_PAYLOAD`; far larger rings should be dumped through
-    ``--trace-out`` or ``GET /trace`` instead, which have no frame cap.
-    """
-
-    json_text: str
-
-    op = OP_TRACE_ACK
-
-    def encode_payload(self) -> bytes:
-        return _pack_text(self.json_text)
-
-    @classmethod
-    def decode_payload(cls, payload: bytes) -> "TraceAck":
-        text, offset = _unpack_text(payload, 0)
-        if offset != len(payload):
-            raise CorruptPayloadError("TRACE_ACK payload has trailing bytes")
-        return cls(text)
 
 
 @dataclass(frozen=True)
@@ -738,12 +638,6 @@ class ErrorReply:
         return cls(request_op, message)
 
 
-Frame = Union[Open, Push, Close, Stats, Ping, Shutdown, Metrics, Trace,
-              Snapshot, ExportSession, ImportSession,
-              OpenAck, PushAck, CloseAck, StatsAck, PingAck, ShutdownAck,
-              MetricsAck, TraceAck, SnapshotAck, ExportSessionAck,
-              ImportSessionAck, AlarmEvent, ErrorReply]
-
 _FRAME_TYPES: Tuple[Type, ...] = (
     Open, Push, Close, Stats, Ping, Shutdown, Metrics, Trace,
     Snapshot, ExportSession, ImportSession,
@@ -751,6 +645,7 @@ _FRAME_TYPES: Tuple[Type, ...] = (
     MetricsAck, TraceAck, SnapshotAck, ExportSessionAck, ImportSessionAck,
     AlarmEvent, ErrorReply,
 )
+Frame = Union[_FRAME_TYPES]
 _DECODERS = {frame_type.op: frame_type for frame_type in _FRAME_TYPES}
 
 

@@ -17,8 +17,8 @@ import pytest
 
 from repro.cluster import ClusterHarness, RouterConfig
 from repro.pipeline import Pipeline
-from repro.serve import (AnomalyTCPServer, BinaryClient, ServiceConfig,
-                         TCPClient)
+from repro.serve import (AnomalyWireServer, BinaryClient, ServiceConfig,
+                         TCPClient, TCPTransport)
 
 from cluster_helpers import N_CHANNELS, worker_config
 
@@ -76,7 +76,7 @@ def _run_single(artifact, streams, client_type=BinaryClient):
     """The ground truth: one AnomalyService behind a plain wire server."""
     service = Pipeline.load(artifact).deploy_service(
         config=ServiceConfig(max_batch=8, max_delay_ms=2.0))
-    server = AnomalyTCPServer(service, port=0)
+    server = AnomalyWireServer(service, TCPTransport("127.0.0.1", 0))
     ready = threading.Event()
     result = {}
 

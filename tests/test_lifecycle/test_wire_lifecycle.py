@@ -9,8 +9,8 @@ import pytest
 from repro.cluster import ClusterHarness, WorkerConfig
 from repro.pipeline import Pipeline
 from repro.serialize import artifact_fingerprint
-from repro.serve import (AnomalyTCPServer, BinaryClient, ServiceConfig,
-                         TCPClient)
+from repro.serve import (AnomalyWireServer, BinaryClient, ServiceConfig,
+                         TCPClient, TCPTransport)
 from repro.serve import wire
 
 from lifecycle_helpers import make_stream
@@ -58,7 +58,8 @@ class LifecycleServer:
     def __init__(self, artifact):
         self.service = Pipeline.load(artifact).deploy_service(
             config=ServiceConfig(max_batch=8, max_delay_ms=1.0))
-        self.server = AnomalyTCPServer(self.service, port=0)
+        self.server = AnomalyWireServer(self.service,
+                                        TCPTransport("127.0.0.1", 0))
         self._ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)

@@ -9,14 +9,15 @@ import time
 import pytest
 
 from repro.core import ThresholdCalibrator
-from repro.serve import (AnomalyService, AnomalyTCPServer, BinaryClient,
-                         ServerTimeoutError, ServiceConfig, TCPClient)
+from repro.serve import (AnomalyService, AnomalyWireServer, BinaryClient,
+                         ServerTimeoutError, ServiceConfig, TCPClient,
+                         TCPTransport)
 
 from serve_helpers import make_stream
 
 
 class ServerThread:
-    """Run an AnomalyTCPServer on an ephemeral port in a background thread."""
+    """Run an AnomalyWireServer on an ephemeral port in a background thread."""
 
     def __init__(self, detector, *, threshold=None, config=None,
                  allow_shutdown=True):
@@ -24,8 +25,8 @@ class ServerThread:
             detector, threshold=threshold,
             config=config if config is not None
             else ServiceConfig(max_batch=8, max_delay_ms=1.0))
-        self.server = AnomalyTCPServer(service, port=0,
-                                       allow_shutdown=allow_shutdown)
+        self.server = AnomalyWireServer(service, TCPTransport("127.0.0.1", 0),
+                                        allow_shutdown=allow_shutdown)
         self._port_ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)

@@ -29,8 +29,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import AnomalyService, AnomalyTCPServer, BinaryClient, \
-    ServiceConfig, TCPClient, wire
+from repro.serve import AnomalyService, AnomalyWireServer, BinaryClient, \
+    ServiceConfig, TCPClient, TCPTransport, wire
 
 from test_tcp import ServerThread
 
@@ -291,7 +291,8 @@ class RestrictedServerThread(ServerThread):
     def __init__(self, detector, protocols):
         service = AnomalyService(
             detector, config=ServiceConfig(max_batch=8, max_delay_ms=1.0))
-        self.server = AnomalyTCPServer(service, port=0, protocols=protocols)
+        self.server = AnomalyWireServer(service, TCPTransport("127.0.0.1", 0),
+                                        protocols=protocols)
         self._port_ready = threading.Event()
         self.port = None
         self.thread = threading.Thread(target=self._run, daemon=True)
@@ -328,3 +329,26 @@ def test_json_line_on_a_binary_only_server(detectors):
                 assert client.ping()["ok"]
         finally:
             server.server.request_stop()   # JSON shutdown is disabled here
+
+
+# --------------------------------------------------------------------------- #
+# Unhashable ops with observability on: error reply, "unknown" label
+# --------------------------------------------------------------------------- #
+def test_unhashable_op_is_answered_and_counted_as_unknown(detectors):
+    config = ServiceConfig(max_batch=8, max_delay_ms=1.0, observability=True)
+    with ServerThread(detectors["VARADE"], config=config) as server:
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5.0) as raw:
+            reader = raw.makefile("rb")
+            for op in (["x"], {}):
+                raw.sendall(json.dumps({"op": op}).encode("utf-8") + b"\n")
+                reply = json.loads(reader.readline())
+                assert reply["ok"] is False and reply["op"] is None
+                assert "unknown op" in reply["error"]
+            # The connection keeps serving.
+            raw.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["ok"]
+        page = server.server.service.metrics_text()
+        assert 'repro_wire_requests_total{protocol="json",op="unknown"} 2' \
+            in page.splitlines()
+        _assert_healthy(server)
